@@ -3,8 +3,7 @@
 //! Every `src/bin/figN.rs` binary regenerates one of the paper's figures:
 //! it prints the series the figure plots (so the shape can be inspected
 //! in the terminal) and writes a CSV under `results/` for external
-//! plotting. `src/bin/all_figures.rs` runs the full set; EXPERIMENTS.md
-//! records the measured numbers against the paper's claims.
+//! plotting. `src/bin/all_figures.rs` runs the full set.
 
 #![forbid(unsafe_code)]
 
@@ -410,7 +409,8 @@ pub struct BenchNetScenario {
 /// One timed run of a [`BenchNetScenario`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchNetRun {
-    /// Backend name (`threaded` / `reactor` / `multiprocN`).
+    /// Backend name (`reactor` / `multiprocN`; older reports may also
+    /// carry `threaded`).
     pub backend: String,
     /// Worker threads the run used.
     pub threads: usize,

@@ -1,14 +1,14 @@
 //! Transport-agnostic protocol state machines.
 //!
 //! The epoch protocol — tick, select, settle, observe — is one algorithm
-//! with two transports: the thread-per-actor runtime ([`crate::runtime`])
-//! and the reactor backend ([`crate::reactor_backend`]). Everything that
-//! determines *results* lives here, once: helper capacity dynamics, peer
-//! learning, demand capping, and the coordinator's metric arithmetic.
-//! The backends are thin shells that move these machines' inputs and
-//! outputs over channels or mailboxes, which is what makes the
-//! bit-for-bit equivalence test across backends structural rather than
-//! coincidental.
+//! with two transports: the in-process reactor
+//! ([`crate::reactor_backend`]) and the socket-bridged multi-process
+//! reactor ([`crate::multiproc`]). Everything that determines *results*
+//! lives here, once: helper capacity dynamics, peer learning, demand
+//! capping, and the coordinator's metric arithmetic. The backends are
+//! thin shells that move these machines' inputs and outputs between
+//! mailboxes, which is what makes the bit-for-bit equivalence test
+//! against the simulator structural rather than coincidental.
 
 use rths_sim::helper::{Helper, HelperId};
 use rths_sim::peer::{Peer, PeerId};
@@ -95,11 +95,6 @@ impl PeerMachine {
         self.peer.id().0
     }
 
-    /// The impairment plan driving this peer's loss/shaping/jitter.
-    pub fn impairments(&self) -> &ImpairmentPlan {
-        &self.impairments
-    }
-
     /// Epoch start: samples the learner and decides whether this epoch's
     /// payload is lost (deterministic per `(peer, helper, epoch)` link).
     pub fn on_tick(&mut self, epoch: u64) -> Selection {
@@ -154,16 +149,16 @@ pub struct Settlement {
 }
 
 /// The helper-side state machine: a bandwidth process plus the even-split
-/// allocation over whatever requests arrived. Generic over a per-request
-/// attachment `T` so transports can stash a reply route (a channel sender
-/// for threads, nothing for the reactor, which addresses by peer id).
+/// allocation over whatever requests arrived. Requests carry only the
+/// peer id — transports address replies by it.
 #[derive(Debug)]
-pub struct HelperMachine<T = ()> {
+pub struct HelperMachine {
     helper: Helper,
-    pending: Vec<(u64, bool, T)>,
+    /// `(peer, lost)` per request, in arrival order.
+    pending: Vec<(u64, bool)>,
 }
 
-impl<T> HelperMachine<T> {
+impl HelperMachine {
     /// Wraps a live helper.
     pub fn new(helper: Helper) -> Self {
         Self { helper, pending: Vec::new() }
@@ -175,18 +170,18 @@ impl<T> HelperMachine<T> {
     }
 
     /// Records one streaming request for the current epoch.
-    pub fn on_request(&mut self, peer: u64, lost: bool, attachment: T) {
-        self.pending.push((peer, lost, attachment));
+    pub fn on_request(&mut self, peer: u64, lost: bool) {
+        self.pending.push((peer, lost));
     }
 
     /// Settles the epoch: splits capacity over the recorded requests,
-    /// invoking `reply(peer, kbps, attachment)` per requester in arrival
-    /// order (0 kbps when the payload was lost), and returns the summary.
-    pub fn on_settle(&mut self, mut reply: impl FnMut(u64, f64, T)) -> Settlement {
+    /// invoking `reply(peer, kbps)` per requester in arrival order
+    /// (0 kbps when the payload was lost), and returns the summary.
+    pub fn on_settle(&mut self, mut reply: impl FnMut(u64, f64)) -> Settlement {
         let load = self.pending.len();
         let share = self.helper.share(load);
-        for (peer, lost, attachment) in self.pending.drain(..) {
-            reply(peer, if lost { 0.0 } else { share }, attachment);
+        for (peer, lost) in self.pending.drain(..) {
+            reply(peer, if lost { 0.0 } else { share });
         }
         Settlement { load, capacity: self.helper.capacity() }
     }
@@ -416,12 +411,7 @@ impl CoordinatorMachine {
     }
 
     /// Final summaries from the peers' own accounting, producing the same
-    /// metric bundle the simulator returns.
-    pub fn finalize(self, peers: &[Peer]) -> (SimMetrics, Vec<f64>, Vec<f64>) {
-        self.finalize_summaries(peers.iter().map(|p| (p.mean_rate(), p.continuity())))
-    }
-
-    /// Like [`finalize`](Self::finalize), but from pre-extracted per-peer
+    /// metric bundle the simulator returns. Takes per-peer
     /// `(mean_rate, continuity)` pairs in ascending peer-id order — the
     /// form the multi-process runtime ships across process boundaries,
     /// where the `Peer` values themselves live in worker processes.
@@ -516,21 +506,18 @@ mod tests {
     #[test]
     fn helper_machine_splits_capacity_in_arrival_order() {
         let (helpers, _) = instantiate_helpers(&small_sim());
-        let mut m: HelperMachine<&str> =
-            HelperMachine::new(helpers.into_iter().next().unwrap());
+        let mut m = HelperMachine::new(helpers.into_iter().next().unwrap());
         m.on_tick();
-        m.on_request(7, false, "a");
-        m.on_request(3, true, "b");
+        m.on_request(7, false);
+        m.on_request(3, true);
         let mut replies = Vec::new();
-        let settlement = m.on_settle(|peer, kbps, tag| replies.push((peer, kbps, tag)));
+        let settlement = m.on_settle(|peer, kbps| replies.push((peer, kbps)));
         assert_eq!(settlement.load, 2);
-        assert_eq!(replies.len(), 2);
-        assert_eq!(replies[0].0, 7);
-        assert_eq!(replies[0].1, 400.0);
-        // Lost payload: connection counted, rate zero.
-        assert_eq!(replies[1], (3, 0.0, "b"));
+        // Arrival order; the lost payload keeps its connection but gets
+        // rate zero.
+        assert_eq!(replies, vec![(7, 400.0), (3, 0.0)]);
         // Next epoch starts empty.
-        let empty = m.on_settle(|_, _, _| panic!("no pending requests"));
+        let empty = m.on_settle(|_, _| panic!("no pending requests"));
         assert_eq!(empty.load, 0);
     }
 
@@ -553,7 +540,7 @@ mod tests {
         assert!(c.epoch_complete());
         c.finish_epoch();
         assert_eq!(c.epochs_done(), 1);
-        let (metrics, rates, continuity) = c.finalize(&[]);
+        let (metrics, rates, continuity) = c.finalize_summaries([]);
         assert_eq!(metrics.welfare.values(), &[1600.0]);
         assert_eq!(metrics.helper_loads[0].values(), &[2.0]);
         // The estimate series is the max of the peers' reported internal

@@ -1,10 +1,9 @@
 //! The event-loop backend: the whole actor mesh on one `rths_reactor`.
 //!
-//! Every peer, helper, the tracker, and the coordinator from the threaded
-//! runtime becomes a poll-driven [`Actor`] hosted by a single
-//! [`Reactor`], so one process (indeed, one thread — plus optional
-//! `RTHS_THREADS` workers the reactor shards rounds across) hosts
-//! thousands of actors instead of a thousand OS threads.
+//! Every peer, helper, the tracker, and the coordinator is a poll-driven
+//! [`Actor`] hosted by a single [`Reactor`], so one process (indeed, one
+//! thread — plus optional `RTHS_THREADS` workers the reactor shards
+//! rounds across) hosts thousands of actors.
 //!
 //! The protocol and all result-bearing arithmetic are the shared
 //! [`crate::machines`]; this module only adds addressing:
@@ -12,16 +11,15 @@
 //! * actor 0 is the coordinator, actor 1 the tracker, then `h` helpers,
 //!   then `n` peers (ids dense, in that order);
 //! * peers learn the helper address range from the tracker during a
-//!   bootstrap handshake — the same directory-not-controller role the
-//!   threaded [`crate::tracker::Tracker`] plays;
-//! * [`ImpairmentPlan`] drops ride the `lost` request flag exactly as in
-//!   the threaded backend, rate shaping happens inside the shared
-//!   [`PeerMachine`], and jitter/latency become *timer-wheel delivery
-//!   delays* (same per-`(actor, epoch)` draw) instead of thread sleeps.
+//!   bootstrap handshake — the tracker is a directory, not a controller;
+//! * [`ImpairmentPlan`] drops ride the `lost` request flag, rate shaping
+//!   happens inside the shared [`PeerMachine`], and jitter/latency become
+//!   *timer-wheel delivery delays* (one pure per-`(actor, epoch)` draw).
 //!
-//! With equal seeds the backend reproduces the simulator and the threaded
-//! runtime bit-for-bit at any `RTHS_THREADS`; the workspace-level
-//! `sim_net_equivalence` test pins that three-way equality.
+//! With equal seeds the backend reproduces the simulator bit-for-bit at
+//! any `RTHS_THREADS`, in one process or sharded across several
+//! ([`crate::multiproc`]); the workspace-level `sim_net_equivalence` test
+//! pins that equality.
 
 use std::sync::{Arc, Mutex};
 
@@ -35,9 +33,8 @@ use rths_stoch::rng::entity_rng;
 use crate::machines::{instantiate_helpers, CoordinatorMachine, HelperMachine, PeerMachine};
 use crate::runtime::{MessageTotals, NetConfig, NetOutcome};
 
-/// Jitter stream offset for helper actors — matches the threaded
-/// backend's `0x4000_0000 + index` convention so faulty runs draw the
-/// same delays on both backends.
+/// Jitter stream offset for helper actors (`0x4000_0000 + index`), keeping
+/// their delay draws disjoint from the peers' (keyed by peer id).
 const HELPER_JITTER_BASE: u64 = 0x4000_0000;
 
 /// Wire messages of the reactor mesh (one enum multiplexing every role).
@@ -191,15 +188,14 @@ pub struct TrackerNode {
 /// A helper actor wrapping the shared [`HelperMachine`].
 ///
 /// Jitter can delay an epoch's `Tick` through the timer wheel until
-/// *after* the coordinator's `Settle` arrives (timers do not preserve the
-/// per-channel FIFO order a thread's inbox gives the threaded backend).
-/// The helper therefore tolerates the reordering: a `Settle` that
-/// overtakes its epoch's `Tick` is parked in `pending_settle` and
-/// replayed the moment the tick lands, so capacity always steps before
-/// allocation — on every backend, in every interleaving.
+/// *after* the coordinator's `Settle` arrives (timers do not preserve
+/// per-sender FIFO order). The helper therefore tolerates the
+/// reordering: a `Settle` that overtakes its epoch's `Tick` is parked in
+/// `pending_settle` and replayed the moment the tick lands, so capacity
+/// always steps before allocation, in every interleaving.
 #[derive(Debug)]
 pub struct HelperNode {
-    machine: HelperMachine<()>,
+    machine: HelperMachine,
     index: usize,
     coordinator: ActorId,
     peer_base: usize,
@@ -214,7 +210,7 @@ pub struct HelperNode {
 impl HelperNode {
     fn settle(&mut self, epoch: u64, ctx: &mut Ctx<'_, NetMsg>) {
         let HelperNode { machine, peer_base, data, .. } = self;
-        let settlement = machine.on_settle(|peer, kbps, ()| {
+        let settlement = machine.on_settle(|peer, kbps| {
             *data += 1;
             ctx.send(ActorId(*peer_base + peer as usize), NetMsg::Rate { epoch, kbps });
         });
@@ -329,7 +325,7 @@ impl Actor for NetActor {
                         node.settle(epoch, ctx);
                     }
                 }
-                NetMsg::Request { peer, lost, .. } => node.machine.on_request(peer, lost, ()),
+                NetMsg::Request { peer, lost, .. } => node.machine.on_request(peer, lost),
                 NetMsg::Settle { epoch } => {
                     if node.ticked_epoch == Some(epoch) {
                         node.settle(epoch, ctx);
@@ -382,9 +378,9 @@ impl Actor for NetActor {
 
 /// The event-loop runtime: hosts the whole mesh on one [`Reactor`].
 ///
-/// Unlike [`NetRuntime`](crate::runtime::NetRuntime) it spawns **no OS
-/// threads of its own** — rounds run on the calling thread, sharded
-/// across at most `RTHS_THREADS` scoped `rths_par` workers.
+/// It spawns **no OS threads of its own** — rounds run on the calling
+/// thread, sharded across at most `RTHS_THREADS` scoped `rths_par`
+/// workers.
 pub struct ReactorRuntime {
     reactor: Reactor<NetActor>,
     coordinator: ActorId,
@@ -494,7 +490,7 @@ pub(crate) fn populate_mesh(
         // lazily mapped zero pages — see `rths_core::slab`). A shard
         // is processed by exactly one worker per round, so the slab
         // mutex is uncontended; learners replay the scalar path
-        // bit-for-bit, keeping the three-way equivalence intact. The
+        // bit-for-bit, keeping the sim equivalence intact. The
         // per-channel config is derived once, not once per peer.
         let learner_config = sim
             .learner
@@ -581,7 +577,7 @@ pub(crate) fn harvest_partition(reactor: Reactor<NetActor>) -> PartitionHarvest 
 
 impl ReactorRuntime {
     /// Builds the actor mesh described by `config` (same RNG derivation
-    /// order as the simulator and the threaded backend).
+    /// order as the simulator).
     pub fn new(config: NetConfig) -> Self {
         let h = config.sim.helpers.len();
         let n = config.sim.num_peers;
@@ -599,7 +595,7 @@ impl ReactorRuntime {
     }
 
     /// Takes a helper offline/online (failure injection); takes effect
-    /// before the next epoch's tick, as in the threaded backend.
+    /// before the next epoch's tick.
     ///
     /// # Panics
     ///
@@ -637,10 +633,9 @@ impl ReactorRuntime {
         }
     }
 
-    /// Runs `epochs` epochs and returns the outcome (consuming the
-    /// runtime, mirroring `NetRuntime::run`). The reactor's own rounds
-    /// record the mailbox spans and message counters, so — unlike the
-    /// threaded backend — no protocol-level totals are mirrored here.
+    /// Runs `epochs` epochs and returns the outcome, consuming the
+    /// runtime. The reactor's own rounds record the mailbox spans and
+    /// message counters when tracing is on.
     pub fn run(mut self, epochs: u64) -> NetOutcome {
         let _trace_guard = self.trace.then(|| obs::scoped_enable(true));
         if obs::enabled() {

@@ -2,22 +2,22 @@
 //!
 //! The fault model must be backend-invariant: a dropped data-plane
 //! payload ("the connection exists but the stream never arrives") reaches
-//! the peer's learner as a **zero-rate observation**, whichever runtime
-//! hosts the actors. These tests pin that three ways: at the machine
+//! the peer's learner as a **zero-rate observation**, whichever engine
+//! hosts the peers. These tests pin that three ways: at the machine
 //! level (a lost reply is bit-identical to `observe(0.0)`), at the system
-//! level (lossy reactor runs reproduce lossy threaded runs bit-for-bit),
-//! and at the boundary (full loss starves everyone on both backends).
+//! level (lossy reactor runs reproduce the simulator under the same plan
+//! bit-for-bit), and at the boundary (full loss starves everyone).
 //!
 //! Loss plans are built with `ImpairmentPlan::builder` directly; the
-//! uniform-loss model replicates the legacy `FaultPlan` hash stream
-//! bit-for-bit (asserted by `rths_sim::impairment`'s compatibility
-//! tests), so these runs reproduce the pre-migration ones exactly.
+//! uniform-loss hash stream is pinned literally by
+//! `rths_sim::impairment`'s tests, so these runs stay reproducible
+//! across refactors.
 
 use rths_core::Learner;
 use rths_net::machines::{HelperMachine, PeerMachine};
 use rths_net::{Backend, ImpairmentPlan, NetConfig};
 use rths_sim::helper::{Helper, HelperId};
-use rths_sim::{BandwidthSpec, Scenario, SimConfig};
+use rths_sim::{BandwidthSpec, Scenario, SimConfig, System};
 use rths_stoch::bandwidth::ConstantBandwidth;
 
 fn bits(series: &[f64]) -> Vec<u64> {
@@ -28,12 +28,16 @@ fn uniform_loss(loss: f64, seed: u64) -> ImpairmentPlan {
     ImpairmentPlan::builder(seed).uniform_loss(loss).build().unwrap()
 }
 
-fn lossy_config(seed: u64, loss: f64) -> NetConfig {
-    let sim = SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.95 }; 3])
+fn lossy_sim(seed: u64, loss: f64) -> SimConfig {
+    SimConfig::builder(12, vec![BandwidthSpec::Paper { stay: 0.95 }; 3])
         .demand(350.0)
         .seed(seed)
-        .build();
-    NetConfig::from_sim(sim).with_impairments(uniform_loss(loss, seed ^ 0xF00D))
+        .impairment(uniform_loss(loss, seed ^ 0xF00D))
+        .build()
+}
+
+fn lossy_config(seed: u64, loss: f64) -> NetConfig {
+    NetConfig::from_sim(lossy_sim(seed, loss))
 }
 
 #[test]
@@ -44,7 +48,7 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
     let sim = Scenario::paper_small().seed(31).build();
     let mut dropped = PeerMachine::from_config(&sim, 4, 2, uniform_loss(1.0, 1));
     let mut explicit = PeerMachine::from_config(&sim, 4, 2, ImpairmentPlan::none());
-    let mut helper: HelperMachine<()> = HelperMachine::new(Helper::with_seed(
+    let mut helper = HelperMachine::new(Helper::with_seed(
         HelperId(0),
         Box::new(ConstantBandwidth::new(800.0)),
         0,
@@ -54,9 +58,9 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
         let sel = dropped.on_tick(epoch);
         assert!(sel.lost, "loss=1.0 must drop every epoch");
         helper.on_tick();
-        helper.on_request(dropped.id(), sel.lost, ());
+        helper.on_request(dropped.id(), sel.lost);
         let mut delivered = f64::NAN;
-        let _ = helper.on_settle(|_, kbps, ()| delivered = kbps);
+        let _ = helper.on_settle(|_, kbps| delivered = kbps);
         assert_eq!(delivered, 0.0, "lost payload must surface as rate 0");
         let observed = dropped.on_rate(delivered);
 
@@ -73,34 +77,34 @@ fn dropped_reply_is_exactly_a_zero_rate_observation() {
 }
 
 #[test]
-fn lossy_reactor_reproduces_lossy_threaded_run() {
+fn lossy_reactor_reproduces_lossy_sim_run() {
     // Partial loss: the fault draw is a pure function of (seed, peer,
-    // epoch), so the reactor and threaded backends must drop the same
-    // payloads and end in identical learner/metric states.
+    // epoch), so the reactor and the simulator (same plan in
+    // `SimConfig::impairment`) must drop the same payloads and end in
+    // identical learner/metric states.
     for loss in [0.15, 0.5] {
-        let threaded = rths_net::run(lossy_config(77, loss), 120);
+        let sim = System::new(lossy_sim(77, loss)).run(120);
         let reactor = rths_net::run(lossy_config(77, loss).with_backend(Backend::Reactor), 120);
         assert_eq!(
-            bits(threaded.metrics.welfare.values()),
+            bits(sim.metrics.welfare.values()),
             bits(reactor.metrics.welfare.values()),
             "loss={loss}: welfare diverged"
         );
         assert_eq!(
-            bits(threaded.metrics.server_load.values()),
+            bits(sim.metrics.server_load.values()),
             bits(reactor.metrics.server_load.values()),
             "loss={loss}: server load diverged"
         );
         assert_eq!(
-            bits(&threaded.peer_mean_rates),
+            bits(&sim.metrics.mean_peer_rates),
             bits(&reactor.peer_mean_rates),
             "loss={loss}: per-peer mean rates diverged"
         );
         assert_eq!(
-            bits(&threaded.peer_continuity),
+            bits(&sim.metrics.peer_continuity),
             bits(&reactor.peer_continuity),
             "loss={loss}: continuity diverged"
         );
-        assert_eq!(threaded.messages, reactor.messages, "loss={loss}: accounting diverged");
     }
 }
 

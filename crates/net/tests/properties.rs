@@ -1,7 +1,7 @@
-//! Property-based tests for the decentralized runtime.
+//! Property-based tests for the decentralized runtime (reactor backend).
 
 use proptest::prelude::*;
-use rths_net::{NetConfig, NetRuntime};
+use rths_net::{NetConfig, ReactorRuntime};
 use rths_sim::{BandwidthSpec, ImpairmentPlan, SimConfig};
 
 fn config(n: usize, h: usize, seed: u64, demand: Option<f64>) -> SimConfig {
@@ -21,7 +21,7 @@ proptest! {
         h in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let run = || NetRuntime::new(NetConfig::from_sim(config(n, h, seed, None))).run(30);
+        let run = || ReactorRuntime::new(NetConfig::from_sim(config(n, h, seed, None))).run(30);
         let a = run();
         let b = run();
         prop_assert_eq!(a.metrics.welfare.values(), b.metrics.welfare.values());
@@ -40,7 +40,7 @@ proptest! {
                 .expect("loss is a probability");
             let cfg = NetConfig::from_sim(config(6, 2, seed, Some(300.0)))
                 .with_impairments(plan);
-            NetRuntime::new(cfg).run(40)
+            ReactorRuntime::new(cfg).run(40)
         };
         let a = run();
         let b = run();
@@ -59,7 +59,7 @@ proptest! {
                 .build()
                 .expect("loss is a probability");
             let cfg = NetConfig::from_sim(config(8, 2, seed, None)).with_impairments(plan);
-            let out = NetRuntime::new(cfg).run(150);
+            let out = ReactorRuntime::new(cfg).run(150);
             out.metrics.welfare.tail_mean(100)
         };
         let clean = run(0.0);
@@ -74,7 +74,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let out =
-            NetRuntime::new(NetConfig::from_sim(config(n, 3, seed, Some(350.0)))).run(40);
+            ReactorRuntime::new(NetConfig::from_sim(config(n, 3, seed, Some(350.0)))).run(40);
         for e in 0..40 {
             let w = out.metrics.welfare.values()[e];
             let s = out.metrics.server_load.values()[e];

@@ -41,7 +41,7 @@
 //! workers (via [`rths_par::par_sharded`]) cannot reorder anything —
 //! a run is **bit-for-bit identical at any worker count and any shard
 //! span**, which is what lets `rths_net`'s reactor backend reproduce
-//! both the simulator and the thread-per-actor backend exactly (see
+//! the simulator exactly, in one process or several (see
 //! `tests/sim_net_equivalence.rs` in the workspace root).
 //!
 //! # Multi-process partitions

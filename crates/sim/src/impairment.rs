@@ -1,15 +1,16 @@
 //! Per-link impairments: bursty loss, rate limiting, and time-varying
-//! link bandwidth/latency — shared by the simulator and both `rths_net`
-//! backends.
+//! link bandwidth/latency — shared by the simulator and every `rths_net`
+//! backend.
 //!
 //! The paper's evaluation assumes clean links; the deployments motivating
 //! it (PPLive/UUSee-style swarms) see bursty loss, rate-limited last
 //! miles, and bandwidth that drifts on the timescale of minutes. An
 //! [`ImpairmentPlan`] describes those effects declaratively:
 //!
-//! * [`LossModel`] — data-plane payload loss, either the legacy uniform
-//!   model (bit-compatible with `rths_net`'s `FaultPlan`) or a per-link
-//!   **Gilbert–Elliott** two-state burst process;
+//! * [`LossModel`] — data-plane payload loss, either the uniform
+//!   per-`(peer, epoch)` model (a hash stream pinned literally by this
+//!   module's tests) or a per-link **Gilbert–Elliott** two-state burst
+//!   process;
 //! * [`TokenBucketSpec`] — a per-peer token bucket shaping delivered
 //!   rates (an ISP-style rate limiter: bursts pass, sustained overuse is
 //!   clipped to the refill rate);
@@ -17,7 +18,7 @@
 //!   same sticky birth–death Markov chain the helpers' bandwidth
 //!   processes use ([`rths_stoch::markov`]);
 //! * [`LatencySpec`] — a Markov-modulated extra delivery delay, layered
-//!   on the legacy uniform jitter. Like jitter, latency is absorbed by
+//!   on the uniform jitter. Like jitter, latency is absorbed by
 //!   the epoch barrier and must never change results.
 //!
 //! # Determinism across backends
@@ -34,7 +35,7 @@
 //! block the process has exactly the chain's transition dynamics (bursts
 //! survive), across blocks it is stationary, and any epoch's state costs
 //! `O(REGEN_BLOCK)` to evaluate from nothing. That is what lets the
-//! simulator, the thread-per-actor runtime, and the reactor agree
+//! simulator, the reactor, and the multi-process reactor agree
 //! bit-for-bit at any `RTHS_THREADS`, and lets churn add or remove peers
 //! without perturbing any other link's stream.
 //!
@@ -114,8 +115,8 @@ pub enum LossModel {
     /// No loss. **Default.**
     #[default]
     None,
-    /// Uniform per-(peer, epoch) loss — the legacy `FaultPlan` model,
-    /// bit-compatible with its hash stream (the link's helper does not
+    /// Uniform per-(peer, epoch) loss — one hash of `(seed, peer,
+    /// epoch)`, pinned literally by the tests (the link's helper does not
     /// enter the draw).
     Uniform {
         /// Loss probability in `[0, 1]`.
@@ -162,11 +163,11 @@ pub struct LinkBandwidthSpec {
 }
 
 /// Markov-modulated extra delivery delay per actor (logical ticks on the
-/// reactor's timer wheel, microseconds of sleep on the threaded
-/// backend). Latency, like jitter, is absorbed by the epoch barrier.
+/// reactor's timer wheel). Latency, like jitter, is absorbed by the
+/// epoch barrier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencySpec {
-    /// Delay levels (ticks/µs), ordered low→high.
+    /// Delay levels (ticks), ordered low→high.
     pub ticks: Vec<u64>,
     /// Probability of staying at the current level each epoch,
     /// in `[0, 1)`.
@@ -194,8 +195,7 @@ pub struct ImpairmentPlanBuilder {
 }
 
 impl ImpairmentPlanBuilder {
-    /// Uniform (legacy `FaultPlan`-compatible) loss with probability
-    /// `loss`.
+    /// Uniform per-`(peer, epoch)` loss with probability `loss`.
     #[must_use]
     pub fn uniform_loss(mut self, loss: f64) -> Self {
         self.plan.loss = LossModel::Uniform { loss };
@@ -460,7 +460,7 @@ impl ImpairmentPlan {
     }
 
     /// Adds uniform timing jitter up to `jitter_us` µs per message
-    /// (infallible: mirrors `FaultPlan::with_jitter`).
+    /// (infallible: any jitter bound is valid).
     #[must_use]
     pub fn with_jitter(mut self, jitter_us: u64) -> Self {
         self.jitter_us = jitter_us;
@@ -469,8 +469,7 @@ impl ImpairmentPlan {
 
     /// Whether the payload on link `(peer, helper)` is lost at `epoch`.
     /// Pure in `(seed, peer, helper, epoch)`. The uniform model ignores
-    /// `helper` — it reproduces the legacy `FaultPlan` hash stream
-    /// bit-for-bit.
+    /// `helper`: its draw is the pinned `(seed, peer, epoch)` hash.
     pub fn is_lost(&self, peer: u64, helper: usize, epoch: u64) -> bool {
         match self.loss {
             LossModel::None => false,
@@ -520,12 +519,11 @@ impl ImpairmentPlan {
         })
     }
 
-    /// The deterministic delivery delay for `(actor, epoch)`: the legacy
-    /// uniform jitter draw (bit-compatible with `FaultPlan`) plus the
-    /// Markov-modulated latency level. The threaded backend sleeps this
-    /// many µs before processing a tick; the reactor delays the tick's
-    /// delivery by the same number of logical ticks. Either way the
-    /// epoch barrier absorbs it: delays must never change results.
+    /// The deterministic delivery delay for `(actor, epoch)`: the uniform
+    /// jitter draw (a pinned hash stream) plus the Markov-modulated
+    /// latency level. The reactor delays the tick's delivery by this many
+    /// logical ticks; the epoch barrier absorbs it: delays must never
+    /// change results.
     pub fn jitter_ticks(&self, actor: u64, epoch: u64) -> u64 {
         let mut total = 0;
         if self.jitter_us > 0 {
@@ -545,15 +543,6 @@ impl ImpairmentPlan {
             total += lat.ticks[state];
         }
         total
-    }
-
-    /// Sleeps the deterministic delay for `(actor, epoch)` (no-op when
-    /// timing impairments are disabled).
-    pub fn apply_jitter(&self, actor: u64, epoch: u64) {
-        let us = self.jitter_ticks(actor, epoch);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
     }
 }
 
@@ -633,18 +622,21 @@ mod tests {
 
     #[test]
     fn uniform_loss_matches_legacy_fault_hash() {
-        // The legacy FaultPlan formula, replicated literally: migrating
-        // with_faults → with_impairments must not change a single drop.
-        let seed = 42u64;
-        let loss = 0.3;
-        let plan = ImpairmentPlan::builder(seed).uniform_loss(loss).build().unwrap();
-        for peer in 0..500u64 {
-            for epoch in [0u64, 1, 7, 100] {
-                let h = derive_seed(seed, derive_seed(peer, epoch));
-                let legacy = (h as f64 / u64::MAX as f64) < loss;
-                // Uniform loss ignores the helper by construction.
-                assert_eq!(plan.is_lost(peer, 0, epoch), legacy);
-                assert_eq!(plan.is_lost(peer, 3, epoch), legacy);
+        // The uniform-loss formula, replicated literally: every drop of a
+        // lossy run is pinned to this hash stream, so no refactor may
+        // change a single one.
+        let cases: [(u64, f64, &[u64], u64); 2] =
+            [(42, 0.3, &[0, 1, 7, 100], 500), (99, 0.35, &[0, 1, 13, 999], 200)];
+        for (seed, loss, epochs, peers) in cases {
+            let plan = ImpairmentPlan::builder(seed).uniform_loss(loss).build().unwrap();
+            for peer in 0..peers {
+                for &epoch in epochs {
+                    let h = derive_seed(seed, derive_seed(peer, epoch));
+                    let legacy = (h as f64 / u64::MAX as f64) < loss;
+                    // Uniform loss ignores the helper by construction.
+                    assert_eq!(plan.is_lost(peer, 0, epoch), legacy, "seed {seed}");
+                    assert_eq!(plan.is_lost(peer, 3, epoch), legacy, "seed {seed}");
+                }
             }
         }
     }
@@ -655,6 +647,15 @@ mod tests {
         for actor in 0..50u64 {
             let h = derive_seed(9 ^ 0xDEAD_BEEF, derive_seed(actor, 5));
             assert_eq!(plan.jitter_ticks(actor, 5), h % 200);
+        }
+        // A lossy plan draws the same jitter stream: loss never enters it.
+        let plan =
+            ImpairmentPlan::builder(99).uniform_loss(0.35).build().unwrap().with_jitter(250);
+        for actor in 0..200u64 {
+            for epoch in [0u64, 1, 13, 999] {
+                let h = derive_seed(99 ^ 0xDEAD_BEEF, derive_seed(actor, epoch));
+                assert_eq!(plan.jitter_ticks(actor, epoch), h % 250, "actor {actor}");
+            }
         }
     }
 

@@ -47,9 +47,9 @@ pub enum AllocationPolicy {
     /// scored by its own delivered throughput on a slow timescale (each
     /// template held ~100 epochs so viewers can adapt to it).
     ///
-    /// This is a documented **negative result** (EXPERIMENTS.md ext-mc):
-    /// selfish throughput feedback under-performs even the static even
-    /// split, because a helper's misallocation cost is largely borne by
+    /// This is a **negative result** (measured by the `ext_multichannel`
+    /// bench binary): selfish throughput feedback under-performs even the
+    /// static even split, because a helper's misallocation cost is largely borne by
     /// *other* helpers — viewers migrate away and the explorer's own
     /// throughput barely drops (and under overload every split saturates,
     /// erasing the gradient entirely). Demand-aware allocation needs

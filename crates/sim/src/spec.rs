@@ -3,7 +3,7 @@
 //!
 //! A [`ScenarioSpec`] composes the four axes that were previously spread
 //! over [`crate::Scenario`] factory methods, free-function workloads,
-//! `FaultPlan`, and ad-hoc bench configs:
+//! loss/jitter fault plans, and ad-hoc bench configs:
 //!
 //! 1. **Population** — either a single-channel swarm (peer count, helper
 //!    bandwidth groups, demand, churn, learner) or a multi-channel

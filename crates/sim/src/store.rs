@@ -383,8 +383,8 @@ impl PeerStore {
     fn shards_for(&self, len: usize) -> usize {
         match self.shard_override {
             Some(n) => n.min(len).max(1),
-            // Populations below MIN_ITEMS_PER_WORKER (which subsumes the
-            // old MIN_PARALLEL_ITEMS cutoff) collapse to one shard.
+            // Populations below MIN_ITEMS_PER_WORKER collapse to one
+            // shard.
             None => rths_par::threads().min(len / rths_par::MIN_ITEMS_PER_WORKER).max(1),
         }
     }

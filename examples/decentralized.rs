@@ -1,10 +1,11 @@
 //! The fully distributed deployment: every peer and every helper is an
-//! OS thread; the only communication is message passing (bootstrap via a
-//! tracker, per-epoch requests and rate replies). An impairment plan
-//! injects data-plane loss and timing jitter.
+//! actor on the reactor event loop; the only communication is message
+//! passing (bootstrap via a tracker, per-epoch requests and rate
+//! replies). An impairment plan injects data-plane loss and timing
+//! jitter.
 //!
-//! A fault-free threaded run reproduces the single-threaded simulator
-//! bit-for-bit — checked live at the end.
+//! A fault-free run reproduces the monolithic simulator bit-for-bit —
+//! checked live at the end.
 //!
 //! Run with: `cargo run --release --example decentralized`
 
@@ -15,15 +16,14 @@ fn main() {
     let epochs = 800;
     let sim_config = Scenario::paper_small().seed(3).build();
 
-    println!("spawning 10 peer threads + 4 helper threads + tracker…\n");
-    let clean = NetRuntime::new(NetConfig::from_sim(sim_config.clone())).run(epochs);
+    println!("hosting 10 peer + 4 helper actors and a tracker on one reactor…\n");
+    let clean = ReactorRuntime::new(NetConfig::from_sim(sim_config.clone())).run(epochs);
     println!("clean run      welfare {}", sparkline(clean.metrics.welfare.values(), 56));
 
     let lossy_plan =
         ImpairmentPlan::builder(77).uniform_loss(0.2).build().unwrap().with_jitter(50);
-    let lossy =
-        NetRuntime::new(NetConfig::from_sim(sim_config.clone()).with_impairments(lossy_plan))
-            .run(epochs);
+    let lossy_config = NetConfig::from_sim(sim_config.clone()).with_impairments(lossy_plan);
+    let lossy = ReactorRuntime::new(lossy_config).run(epochs);
     println!("20% loss+jitter welfare {}", sparkline(lossy.metrics.welfare.values(), 56));
 
     println!(
@@ -48,7 +48,7 @@ fn main() {
         .zip(clean.metrics.welfare.values())
         .all(|(a, b)| a == b);
     println!(
-        "\nthreaded runtime vs simulator, same seed: {}",
+        "\nreactor runtime vs simulator, same seed: {}",
         if identical { "bit-for-bit IDENTICAL" } else { "DIVERGED (bug!)" }
     );
     assert!(identical);

@@ -7,7 +7,7 @@
 //! * [`rths_game`] — the helper-selection game and equilibrium tooling;
 //! * [`rths_sim`] — the streaming-system simulator (evaluation substrate);
 //! * [`rths_net`] — the decentralized message-passing runtimes
-//!   (thread-per-actor and reactor backends);
+//!   (in-process and multi-process reactor backends);
 //! * [`rths_reactor`] — the deterministic event-loop actor runtime;
 //! * [`rths_mdp`] — the centralized MDP benchmark;
 //! * [`rths_par`] — the deterministic data-parallel runtime;
@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use rths_game::{HelperSelectionGame, JointDistribution};
     pub use rths_mdp::MdpBenchmark;
-    pub use rths_net::{Backend, FaultPlan, NetConfig, NetRuntime, ReactorRuntime};
+    pub use rths_net::{Backend, NetConfig, ReactorRuntime};
     pub use rths_sim::{
         Algorithm, AllocationPolicy, BandwidthSpec, ImpairmentPlan, LearnerSpec,
         MultiChannelConfig, MultiChannelSystem, Scenario, ScenarioSpec, SimConfig, System,

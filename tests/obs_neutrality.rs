@@ -4,7 +4,7 @@
 //! never fed back. Each test runs the same seeded workload twice inside
 //! one `RTHS_THREADS` guard (untraced, then traced) and compares the
 //! full metric series by `f64::to_bits`, the same zero-tolerance
-//! standard `sim_net_equivalence` holds the three engines to.
+//! standard `sim_net_equivalence` holds the engines to.
 //!
 //! The traced run must also *record something* — a neutrality test
 //! against a silently disabled tracer would be vacuous — so every test
@@ -111,25 +111,39 @@ fn multichannel_system_is_bit_neutral_under_tracing() {
 }
 
 #[test]
-fn threaded_backend_is_bit_neutral_under_tracing() {
+fn multiproc_backend_is_bit_neutral_under_tracing() {
+    // Two legs per thread count: the `Backend::Multiproc` dispatch at the
+    // default shard span (this 16-actor mesh is one shard, so the worker
+    // process owns nothing), and a 4-actor span that splits the mesh
+    // across both processes. Both go through the `with_trace` knob.
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let sim = Scenario::paper_small().seed(43).build();
-            let plain = rths_net::run(NetConfig::from_sim(sim.clone()), 40);
-            // The `with_trace` config knob (rather than ambient enable)
-            // exercises the runtime's own scoped guard.
-            let shadow = traced(&format!("threaded RTHS_THREADS={threads}"), || {
-                rths_net::run(NetConfig::from_sim(sim.clone()).with_trace(true), 40)
-            });
-            assert_eq!(
-                bits(plain.metrics.welfare.values()),
-                bits(shadow.metrics.welfare.values()),
-                "threaded welfare diverged under tracing at RTHS_THREADS={threads}"
-            );
-            assert_eq!(
-                plain.messages, shadow.messages,
-                "threaded message totals diverged under tracing at RTHS_THREADS={threads}"
-            );
+            let config = || {
+                NetConfig::from_sim(sim.clone())
+                    .with_backend(Backend::Multiproc { processes: 2 })
+            };
+            let legs: [(&str, &dyn Fn(NetConfig) -> rths_net::NetOutcome); 2] = [
+                ("default span", &|c| rths_net::run(c, 40)),
+                ("span 4", &|c| rths_net::run_multiproc_with_span(c, 40, 2, 4).outcome),
+            ];
+            for (leg, run) in legs {
+                let plain = run(config());
+                let shadow = traced(&format!("multiproc {leg} RTHS_THREADS={threads}"), || {
+                    run(config().with_trace(true))
+                });
+                assert_eq!(
+                    bits(plain.metrics.welfare.values()),
+                    bits(shadow.metrics.welfare.values()),
+                    "multiproc ({leg}) welfare diverged under tracing at \
+                     RTHS_THREADS={threads}"
+                );
+                assert_eq!(
+                    plain.messages, shadow.messages,
+                    "multiproc ({leg}) message totals diverged under tracing at \
+                     RTHS_THREADS={threads}"
+                );
+            }
         });
     }
 }

@@ -9,9 +9,11 @@
 //! (thread-local, so no racy `std::env::set_var`); the `RTHS_THREADS`
 //! environment variable stays the outermost default.
 //!
-//! Populations are kept above `rths_par::MIN_PARALLEL_ITEMS` so the
-//! multi-worker runs genuinely exercise the pool rather than the inline
-//! fallback.
+//! At these CI-sized populations a thread sweep alone stays on one
+//! shard: the peer stores cap their shard count at
+//! `len / rths_par::MIN_ITEMS_PER_WORKER`. The shard-count sweep below
+//! therefore pins the shard count explicitly, which runs the multi-shard
+//! pool path at any population.
 
 use rths_suite::par::with_threads;
 use rths_suite::sim::{

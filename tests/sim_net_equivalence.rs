@@ -1,8 +1,8 @@
-//! The simulator, the threaded actor runtime, the reactor event-loop
-//! runtime, and the multi-process reactor implement the *same system*:
-//! with identical seeds and no faults all four must agree
-//! **bit-for-bit**, because every actor owns the same deterministic RNG
-//! stream in every implementation and the epoch protocol is a barrier.
+//! The simulator, the reactor event-loop runtime, and the multi-process
+//! reactor implement the *same system*: with identical seeds all three
+//! must agree **bit-for-bit**, because every actor owns the same
+//! deterministic RNG stream in every implementation and the epoch
+//! protocol is a barrier.
 //! The comparison is `f64::to_bits` equality — not approximate — and is
 //! repeated at `RTHS_THREADS=1` and `2`, since neither the simulator's
 //! fork/join parallelism nor the reactor's sharded mailbox draining may
@@ -14,8 +14,8 @@
 //!
 //! This is the strongest cross-implementation test in the workspace: any
 //! divergence in learner updates, rate allocation, or metric arithmetic
-//! between `rths-sim`, `rths-net`'s threaded backend, its reactor
-//! backend, or the socket-bridged multi-process reactor fails it.
+//! between `rths-sim`, `rths-net`'s reactor backend, or the
+//! socket-bridged multi-process reactor fails it.
 
 use rths_net::{Backend, NetConfig, NetOutcome};
 use rths_sim::{BandwidthSpec, ImpairmentPlan, Scenario, SimConfig, System};
@@ -98,27 +98,21 @@ fn assert_outcome_matches_sim(
 /// into genuinely separate processes.
 const MULTIPROC_SPAN: usize = 4;
 
-/// The acceptance gate: sim, threaded net, reactor net, and the
-/// multi-process reactor (2 and 4 processes) must produce identical
-/// trajectories at every tested worker count.
+/// The acceptance gate: sim, the reactor, and the multi-process reactor
+/// (2 and 4 processes) must produce identical trajectories at every
+/// tested worker count.
 fn assert_equivalent(sim_config: SimConfig, epochs: u64) {
     for threads in [1usize, 2] {
         with_threads(threads, || {
             let mut sim = System::new(sim_config.clone());
             let sim_out = sim.run(epochs);
-            let threaded = rths_net::run(NetConfig::from_sim(sim_config.clone()), epochs);
             let reactor = rths_net::run(
                 NetConfig::from_sim(sim_config.clone()).with_backend(Backend::Reactor),
                 epochs,
             );
-            assert_outcome_matches_sim("threaded", threads, &sim_out, &threaded);
             assert_outcome_matches_sim("reactor", threads, &sim_out, &reactor);
-            // The two net backends also agree on message accounting —
-            // same protocol, different transport.
-            assert_eq!(
-                threaded.messages, reactor.messages,
-                "RTHS_THREADS={threads}: message accounting diverged between backends"
-            );
+            // The net backends also agree on message accounting — same
+            // protocol, different transport.
             for processes in [2usize, 4] {
                 let report = rths_net::run_multiproc_with_span(
                     NetConfig::from_sim(sim_config.clone()),
@@ -169,9 +163,8 @@ fn equivalent_with_heterogeneous_processes() {
 
 #[test]
 fn equivalent_on_a_reactor_scale_population() {
-    // Big enough that the reactor actually shards rounds across workers
-    // (above rths_par's MIN_PARALLEL_ITEMS) while staying CI-cheap for
-    // the thread-per-actor backend.
+    // 104 actors, which the multiproc runs' 4-actor span splits into 26
+    // mailbox shards.
     let config =
         SimConfig::builder(96, vec![BandwidthSpec::Paper { stay: 0.95 }; 6]).seed(1234).build();
     assert_equivalent(config, 60);
@@ -179,24 +172,26 @@ fn equivalent_on_a_reactor_scale_population() {
 
 #[test]
 fn jitter_does_not_change_results() {
-    // Timing jitter reorders thread interleavings (threaded backend) or
-    // delays tick delivery through the timer wheel (reactor backend);
-    // the barrier protocol must absorb it completely on both.
+    // Timing jitter delays tick delivery through the timer wheel; the
+    // barrier protocol must absorb it completely, in one process and
+    // across two.
     let config = Scenario::paper_small().seed(5).build();
     let clean = rths_net::run(NetConfig::from_sim(config.clone()), 60);
     let jitter_plan =
         ImpairmentPlan::builder(0).build().expect("empty plan is valid").with_jitter(200);
-    for backend in [Backend::Threaded, Backend::Reactor] {
-        let jittery = rths_net::run(
-            NetConfig::from_sim(config.clone())
-                .with_backend(backend)
-                .with_impairments(jitter_plan.clone()),
-            60,
-        );
+    let jittery = || NetConfig::from_sim(config.clone()).with_impairments(jitter_plan.clone());
+    let runs = [
+        ("Reactor", rths_net::run(jittery().with_backend(Backend::Reactor), 60)),
+        (
+            "Multiproc(2)",
+            rths_net::run_multiproc_with_span(jittery(), 60, 2, MULTIPROC_SPAN).outcome,
+        ),
+    ];
+    for (backend, jittery) in runs {
         assert_eq!(
             bits(clean.metrics.welfare.values()),
             bits(jittery.metrics.welfare.values()),
-            "jitter changed outcomes on {backend:?} — barrier protocol is leaky"
+            "jitter changed outcomes on {backend} — barrier protocol is leaky"
         );
     }
 }
@@ -227,7 +222,7 @@ fn equivalent_under_full_impairment_stack() {
     // Everything at once: bursty loss, a link-bandwidth Markov chain,
     // token-bucket policing, latency, and jitter. Latency and jitter are
     // absorbed by the epoch barrier; the rest must shape rates
-    // identically in the sequential simulator and both net runtimes.
+    // identically in the sequential simulator and every net runtime.
     let plan = ImpairmentPlan::builder(77)
         .gilbert_loss(0.02, 0.25, 0.9, 0.15)
         .token_bucket(500.0, 1200.0)
