@@ -2,13 +2,15 @@
 //!
 //! Times the three hot learner operations — `observe` (the full stage
 //! update: decay, rank-1 column update, Q-row, probability rule),
-//! `select_action` (inverse-CDF sample), and `max_regret` (the `O(m²)`
-//! proxy scan) — for the **scalar** per-peer layout
-//! (`rths_core::RthsState`, one heap `Matrix` per learner) against the
-//! **slab** layout (`rths_core::LearnerSlab`, column-major arena +
-//! `rths_math::kernels`), at m ∈ {16, 64, 256} actions. Both paths
-//! compute bit-identical results (pinned by the slab oracle tests), so
-//! the ratio is pure layout/vectorization effect.
+//! `select_action` (inverse-CDF sample), and `max_regret` (the proxy
+//! scan: dense `O(m²)` on the scalar side, played columns plus one
+//! zero-column pass on the slab side) — for the **scalar** per-peer
+//! layout (`rths_core::RthsState`, one heap `Matrix` per learner)
+//! against the **slab** layout (`rths_core::LearnerSlab`, column-major
+//! arena + `rths_math::kernels`), at m ∈ {16, 64, 256} actions. Both
+//! paths compute bit-identical results (pinned by the slab oracle
+//! tests), so the ratio is the layout/vectorization effect plus the
+//! slab's skipping of never-played columns.
 //!
 //! Run with: `cargo run --release -p rths_bench --bin bench_kernel`
 //!

@@ -21,15 +21,21 @@
 //! a **contiguous** slice that LLVM autovectorizes (`rths_math::kernels`):
 //! the rank-1 update touches exactly column `j`, the exponential decay
 //! walks whole columns, and `max_regret` scans column-against-diagonal.
-//! The played-column bitmask makes the decay *provably sparse*: a column
-//! `k` is only ever written by the decay itself (a bitwise no-op on an
+//! The played-column bitmask makes both *provably sparse*: a column `k`
+//! is only ever written by the decay itself (a bitwise no-op on an
 //! all-zero column, since `+0.0 · (1−ε) = +0.0`) and by the rank-1 update
 //! when `k` was the played action — so never-played columns are exactly
-//! `+0.0` everywhere and skipping their decay is bit-identical. That both
-//! cuts the `O(m²)`-per-observe decay down to `O(played · m)` and leaves
-//! the untouched columns' pages unwritten (one big lazily-mapped zero
-//! allocation instead of 10⁵ eagerly-zeroed ones), which is where the
-//! construction-time and peak-RSS wins at the 10⁵-actor point come from.
+//! `+0.0` everywhere. Skipping their decay is bit-identical, and in the
+//! regret estimate they all contribute one and the same value, so a
+//! single zero-column pass stands in for every one of them. That cuts
+//! the per-observe decay and the per-stage estimate from `O(m²)` down to
+//! `O(played · m)` (plus `O(m)` for the zero pass), and leaves the
+//! untouched columns' pages unread and unwritten (one big lazily-mapped
+//! zero allocation instead of 10⁵ eagerly-zeroed ones), which is where
+//! the construction-time and peak-RSS wins at the 10⁵-actor point come
+//! from. The gain lasts as long as peers have tried few of their `m`
+//! actions: over long runs the played set grows towards `m` and both
+//! costs return to `O(m²)`.
 //!
 //! Every operation performs the **exact float expressions in the exact
 //! order** of the scalar oracle ([`RthsState`](crate::RthsState)), so
@@ -71,30 +77,75 @@ fn factor_for(config: &RthsConfig, stage: u64) -> f64 {
     }
 }
 
+/// Rows per diagonal chunk of the regret scan: one bitmask word's worth,
+/// so chunk `w` of the diagonal is exactly the rows flagged in word `w`.
+const DIAG_CHUNK: usize = 64;
+
+/// Indices of the set bits of one bitmask word, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
 /// Applies `T[:, k] *= keep` to every column flagged in the played
 /// bitmask. Unflagged columns are exactly `+0.0` (slab invariant), for
 /// which the decay is a bitwise no-op — skipping them changes nothing
 /// and keeps their pages unwritten.
 fn decay_columns(t: &mut [f64], played: &[u64], stride: usize, keep: f64) {
     for (w, &word) in played.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let k = w * 64 + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
+        for b in set_bits(word) {
+            let k = w * 64 + b;
             kernels::scale(&mut t[k * stride..(k + 1) * stride], keep);
         }
     }
 }
 
-/// Max derived regret over one slot's `m × m` submatrix — the same value
-/// multiset (and therefore the same max) as the scalar row-major scan.
-fn max_regret_in(t: &[f64], stride: usize, m: usize, factor: f64, diag: &mut Vec<f64>) -> f64 {
-    diag.clear();
-    diag.extend((0..m).map(|j| t[j * stride + j]));
+/// Max derived regret over one slot's `m × m` submatrix, walking only
+/// the played columns plus one zero-column pass — `O(played · m + m)`.
+///
+/// Unplayed columns (and so their diagonal entries) are exactly `+0.0`
+/// (slab invariant), so each would contribute the same value; the zero
+/// pass computes it once with the same per-entry expression. Every term
+/// is `≥ +0.0` (a `NaN` term folds to `0.0`), so neither duplicates nor
+/// visit order change the max: the result is the scalar row-major scan's,
+/// bit for bit. Rows are taken in [`DIAG_CHUNK`]-sized blocks so the
+/// gathered diagonal fits the caller's fixed `diag` buffer at any `m`.
+fn max_regret_in(
+    t: &[f64],
+    played: &[u64],
+    stride: usize,
+    m: usize,
+    factor: f64,
+    diag: &mut [f64],
+) -> f64 {
+    let played = &played[..m.div_ceil(64)];
+    let played_count: usize = played.iter().map(|w| w.count_ones() as usize).sum();
+    debug_assert!(played_count <= m, "played bit set past the slot's arity");
     let mut max = f64::NEG_INFINITY;
-    for k in 0..m {
-        max =
-            max.max(kernels::shifted_regret_max(&t[k * stride..k * stride + m], diag, factor));
+    for (w, &rows) in played.iter().enumerate() {
+        let r0 = w * DIAG_CHUNK;
+        let r1 = (r0 + DIAG_CHUNK).min(m);
+        let diag = &mut diag[..r1 - r0];
+        // Gather only the played diagonal entries; the rest are +0.0.
+        diag.fill(0.0);
+        for b in set_bits(rows) {
+            diag[b] = t[(r0 + b) * stride + r0 + b];
+        }
+        for (cw, &cols) in played.iter().enumerate() {
+            for b in set_bits(cols) {
+                let col = (cw * 64 + b) * stride;
+                max =
+                    max.max(kernels::shifted_regret_max(&t[col + r0..col + r1], diag, factor));
+            }
+        }
+        if played_count < m {
+            max = max.max(kernels::zero_column_regret_max(diag, factor));
+        }
     }
     if max.is_finite() {
         max.max(0.0)
@@ -282,11 +333,10 @@ impl LearnerSlab {
         let dst = self.alloc(m) as usize;
         let stride = self.stride;
         for w in 0..self.words {
-            let mut bits = self.played[s * self.words + w];
+            let bits = self.played[s * self.words + w];
             self.played[dst * self.words + w] = bits;
-            while bits != 0 {
-                let k = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for b in set_bits(bits) {
+                let k = w * 64 + b;
                 let from = (s * stride + k) * stride;
                 self.t.copy_within(from..from + stride, (dst * stride + k) * stride);
             }
@@ -331,11 +381,10 @@ impl LearnerSlab {
                 // then pull the survivor's played columns down.
                 self.wipe_t(write);
                 for w in 0..words {
-                    let mut bits = self.played[read * words + w];
+                    let bits = self.played[read * words + w];
                     self.played[write * words + w] = bits;
-                    while bits != 0 {
-                        let k = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
+                    for b in set_bits(bits) {
+                        let k = w * 64 + b;
                         let from = (read * stride + k) * stride;
                         self.t.copy_within(from..from + stride, (write * stride + k) * stride);
                     }
@@ -385,11 +434,10 @@ impl LearnerSlab {
         let stride = self.stride;
         let w_base = slot * self.words;
         for w in 0..self.words {
-            let mut bits = self.played[w_base + w];
+            let bits = self.played[w_base + w];
             self.played[w_base + w] = 0;
-            while bits != 0 {
-                let k = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for b in set_bits(bits) {
+                let k = w * 64 + b;
                 let from = (slot * stride + k) * stride;
                 self.t[from..from + stride].fill(0.0);
             }
@@ -477,20 +525,19 @@ impl LearnerSlab {
         self.split().decay(keep)
     }
 
-    /// Largest derived regret of a slot (metrics path; allocates a small
-    /// diagonal scratch — the sharded phases use
-    /// [`SlabCols::max_regret`] with a reusable buffer instead).
+    /// Largest derived regret of a slot — `O(played · m + m)`, with the
+    /// diagonal gathered into a fixed stack buffer (no allocation).
     pub fn max_regret(&self, slot: usize, config: &RthsConfig) -> f64 {
         let m = self.arity[slot] as usize;
         let base = slot * self.stride * self.stride;
         let factor = factor_for(config, self.stage[slot]);
-        let mut diag = Vec::with_capacity(m);
         max_regret_in(
             &self.t[base..base + self.stride * self.stride],
+            &self.played[slot * self.words..(slot + 1) * self.words],
             self.stride,
             m,
             factor,
-            &mut diag,
+            &mut [0.0; DIAG_CHUNK],
         )
     }
 }
@@ -714,13 +761,15 @@ impl SlabCols<'_> {
         );
     }
 
-    /// Largest derived regret of slot `i`, with a caller-provided
-    /// diagonal scratch so steady-state phases allocate nothing.
+    /// Largest derived regret of slot `i` — `O(played · m + m)`, with a
+    /// caller-provided diagonal scratch (grown once to one chunk, then
+    /// reused) so steady-state phases allocate nothing.
     pub fn max_regret(&mut self, i: usize, config: &RthsConfig, diag: &mut Vec<f64>) -> f64 {
         let m = self.arity[i] as usize;
         let factor = factor_for(config, self.stage[i]);
         let stride = self.stride;
-        max_regret_in(self.t.row(i), stride, m, factor, diag)
+        diag.resize(DIAG_CHUNK, 0.0);
+        max_regret_in(self.t.row(i), self.played.row(i), stride, m, factor, diag)
     }
 
     /// Slot `i`'s current mixed strategy.
@@ -915,6 +964,164 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Asserts slot `slot` and its scalar oracle agree bit for bit on the
+    /// strategy and the regret estimate.
+    fn assert_matches(
+        slab: &LearnerSlab,
+        slot: usize,
+        cfg: &RthsConfig,
+        oracle: &RthsState,
+        ctx: &str,
+    ) {
+        assert_eq!(slab.stage(slot), oracle.stage(), "{ctx}: stage");
+        for (k, (x, y)) in
+            slab.probabilities(slot).iter().zip(oracle.probabilities()).enumerate()
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: probs[{k}]");
+        }
+        assert_eq!(
+            slab.max_regret(slot, cfg).to_bits(),
+            oracle.max_regret(cfg).to_bits(),
+            "{ctx}: max_regret"
+        );
+    }
+
+    /// A stage's utility from the action played and the stage index.
+    type Utility = fn(usize, u64) -> f64;
+
+    /// Drives a slot and its scalar oracle in lockstep (one shared seed
+    /// per side), checking them before the first stage and after every
+    /// one. Returns the actions played.
+    #[allow(clippy::too_many_arguments)]
+    fn lockstep(
+        slab: &mut LearnerSlab,
+        slot: usize,
+        cfg: &RthsConfig,
+        oracle: &mut RthsState,
+        seed: u64,
+        stages: u64,
+        utility: Utility,
+        label: &str,
+    ) -> Vec<usize> {
+        let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = Vec::new();
+        let mut actions = Vec::new();
+        assert_matches(slab, slot, cfg, oracle, &format!("{label} before stage 0"));
+        for s in 0..stages {
+            let a = slab.select_action(slot, &mut rng_a);
+            assert_eq!(a, oracle.select_action(&mut rng_b), "{label}: action at stage {s}");
+            let u = utility(a, s);
+            slab.observe(slot, cfg, u, &mut scratch);
+            oracle.observe(cfg, u, &mut scratch);
+            assert_matches(slab, slot, cfg, oracle, &format!("{label} stage {s}"));
+            actions.push(a);
+        }
+        actions
+    }
+
+    /// The played-column estimate scan against the dense scalar scan
+    /// while only one to a few dozen of `m = 70` columns are played — a
+    /// two-word bitmask in a stride-130 slab — for positive, zero,
+    /// mixed-sign and negative utilities in every averaging mode. The
+    /// `m = 3` arm plays every column early, so it pins the other side
+    /// of the boundary: with nothing unplayed, no zero column may enter
+    /// the max (it would win whenever the diagonal is negative).
+    #[test]
+    fn sparse_played_estimate_matches_scalar_state_bitwise() {
+        let utilities: [(&str, Utility); 4] = [
+            ("positive", |a, s| ((a * 37 + s as usize * 5) % 11) as f64 * 13.0 + 0.5),
+            ("zero", |_, _| 0.0),
+            ("signed", |a, s| ((a * 29 + s as usize * 3) % 9) as f64 * 17.0 - 70.0),
+            ("negative", |a, s| -(((a * 13 + s as usize) % 7) as f64) * 11.0 - 1.0),
+        ];
+        for (m, recency, conditional) in [3, 70].into_iter().flat_map(|m| {
+            [RecencyMode::Exponential, RecencyMode::PaperLiteral, RecencyMode::Uniform]
+                .into_iter()
+                .flat_map(move |r| [(m, r, false), (m, r, true)])
+        }) {
+            let cfg = config(m, recency, conditional);
+            for (name, utility) in utilities {
+                let mut slab = LearnerSlab::new(130);
+                let slots: Vec<usize> = (0..3).map(|_| slab.alloc(m) as usize).collect();
+                let mut oracles: Vec<RthsState> =
+                    slots.iter().map(|_| RthsState::new(&cfg)).collect();
+                let mut high = false;
+                for (p, &slot) in slots.iter().enumerate() {
+                    let label = format!("m={m}/{recency:?}/cond={conditional}/{name} slot {p}");
+                    let actions = lockstep(
+                        &mut slab,
+                        slot,
+                        &cfg,
+                        &mut oracles[p],
+                        40 + p as u64,
+                        24,
+                        utility,
+                        &label,
+                    );
+                    high |= actions.iter().any(|&a| a >= 64);
+                }
+                assert!(m < 64 || high, "no column in the second bitmask word was played");
+                // The earlier slots are unchanged by their neighbours.
+                for (p, &slot) in slots.iter().enumerate() {
+                    assert_matches(&slab, slot, &cfg, &oracles[p], "after neighbours");
+                }
+            }
+        }
+    }
+
+    /// The sparse estimate stays exact across every slot lifecycle
+    /// operation that moves or wipes played columns: `clone_slot`,
+    /// `reset_actions` to a smaller arity, `release` + `alloc` reuse, and
+    /// `remove_slots` compaction.
+    #[test]
+    fn sparse_estimate_survives_slot_lifecycle_bitwise() {
+        let cfg = config(70, RecencyMode::Exponential, true);
+        let u = |a: usize, s: u64| ((a * 7 + s as usize) % 13) as f64 * 9.0 - 20.0;
+        let mut slab = LearnerSlab::new(130);
+        let a = slab.alloc(70) as usize;
+        let b = slab.alloc(70) as usize;
+        let mut oracle_a = RthsState::new(&cfg);
+        let mut oracle_b = RthsState::new(&cfg);
+        lockstep(&mut slab, a, &cfg, &mut oracle_a, 1, 12, u, "a");
+        lockstep(&mut slab, b, &cfg, &mut oracle_b, 2, 12, u, "b");
+
+        let c = slab.clone_slot(a as u32) as usize;
+        let mut oracle_c = oracle_a.clone();
+        lockstep(&mut slab, c, &cfg, &mut oracle_c, 3, 10, u, "clone");
+        assert_matches(&slab, a, &cfg, &oracle_a, "clone source");
+
+        let small = cfg.with_num_actions(5).unwrap();
+        slab.reset_actions(b, 5);
+        oracle_b.reset_actions(5);
+        lockstep(&mut slab, b, &small, &mut oracle_b, 4, 10, u, "reset to 5");
+
+        slab.release(a as u32);
+        assert_eq!(slab.alloc(70) as usize, a, "freed slot must be reused");
+        let mut fresh = RthsState::new(&cfg);
+        lockstep(&mut slab, a, &cfg, &mut fresh, 5, 10, u, "reused");
+        assert_matches(&slab, c, &cfg, &oracle_c, "clone after reuse");
+
+        // Slot-aligned mode: compaction pulls survivors' played columns
+        // down over slots whose own played columns differ.
+        let mut slab = LearnerSlab::new(130);
+        let mut oracles: Vec<RthsState> = (0..5).map(|_| RthsState::new(&cfg)).collect();
+        for (i, oracle) in oracles.iter_mut().enumerate() {
+            slab.alloc(70);
+            lockstep(&mut slab, i, &cfg, oracle, 10 + i as u64, 3 + 2 * i as u64, u, "pre");
+        }
+        let removed = [0u32, 2];
+        slab.remove_slots(&removed);
+        let mut survivors: Vec<RthsState> = (0u32..)
+            .zip(oracles)
+            .filter_map(|(i, oracle)| (!removed.contains(&i)).then_some(oracle))
+            .collect();
+        for (slot, oracle) in survivors.iter_mut().enumerate() {
+            let label = format!("compacted slot {slot}");
+            lockstep(&mut slab, slot, &cfg, oracle, 20 + slot as u64, 6, u, &label);
         }
     }
 

@@ -17,11 +17,12 @@ fn arb_config() -> impl Strategy<Value = RthsConfig> {
     )
 }
 
-/// Like [`arb_config`] but additionally sweeping all three recency modes
-/// and the conditional-regret flag — the full mode matrix the slab must
-/// replay bit-for-bit.
-fn arb_config_all_modes() -> impl Strategy<Value = RthsConfig> {
-    (2usize..6, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64, 0usize..3, 0usize..2).prop_map(
+/// Like [`arb_config`] but drawing the action count from `actions` and
+/// additionally sweeping all three recency modes and the
+/// conditional-regret flag — the full mode matrix the slab must replay
+/// bit-for-bit.
+fn arb_config_all_modes(actions: std::ops::Range<usize>) -> impl Strategy<Value = RthsConfig> {
+    (actions, 0.005..0.5f64, 0.02..0.5f64, 10.0..10000.0f64, 0usize..3, 0usize..2).prop_map(
         |(m, eps, delta, mu, mode, cond)| {
             let recency = match mode {
                 0 => RecencyMode::Exponential,
@@ -193,36 +194,23 @@ proptest! {
 
     #[test]
     fn slab_learner_replays_recursive_learner_bitwise(
-        cfg in arb_config_all_modes(),
+        cfg in arb_config_all_modes(2..6),
         seed in any::<u64>(),
         utilities in prop::collection::vec(0.0..1000.0f64, 40..120),
     ) {
-        // Slab-backed learners must replay the scalar wrapped learner
-        // bit-for-bit over randomized trajectories in every recency ×
-        // conditional mode. Two slots share the slab so the strided
-        // layout (not just a lone slot) is exercised.
-        let slab = Arc::new(Mutex::new(LearnerSlab::new(cfg.num_actions())));
-        let _neighbor = SlabLearner::new(Arc::clone(&slab), cfg.clone());
-        let mut slabbed = SlabLearner::new(Arc::clone(&slab), cfg.clone());
-        let mut wrapped = RthsLearner::new(cfg);
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
-        for (s, &u) in utilities.iter().enumerate() {
-            let a = wrapped.select_action(&mut rng_a);
-            let b = slabbed.select_action(&mut rng_b);
-            prop_assert_eq!(a, b, "action diverged at stage {}", s);
-            wrapped.observe(u);
-            slabbed.observe(u);
-            for (x, y) in wrapped.probabilities().iter().zip(slabbed.probabilities()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits(), "probs diverged at stage {}", s);
-            }
-            prop_assert_eq!(
-                wrapped.max_regret().to_bits(),
-                slabbed.max_regret().to_bits(),
-                "max_regret diverged at stage {}",
-                s
-            );
-        }
+        replay_slab_against_wrapped(cfg, seed, &utilities);
+    }
+
+    #[test]
+    fn slab_learner_replays_recursive_learner_bitwise_while_sparse(
+        cfg in arb_config_all_modes(40..71),
+        seed in any::<u64>(),
+        utilities in prop::collection::vec(-200.0..1000.0f64, 1..24),
+    ) {
+        // Short trajectories over 40 to 70 actions: most T columns stay
+        // unplayed, so the estimate runs its played-column walk plus the
+        // zero-column pass, over a two-word bitmask for m > 64.
+        replay_slab_against_wrapped(cfg, seed, &utilities);
     }
 
     #[test]
@@ -249,5 +237,34 @@ proptest! {
         }
         let bound = max_u * 3.0 / 0.2 + 1e-9;
         prop_assert!(l.max_regret() <= bound, "{} > {bound}", l.max_regret());
+    }
+}
+
+/// Slab-backed learners must replay the scalar wrapped learner
+/// bit-for-bit over a trajectory in every recency × conditional mode.
+/// Two slots share the slab so the strided layout (not just a lone slot)
+/// is exercised.
+fn replay_slab_against_wrapped(cfg: RthsConfig, seed: u64, utilities: &[f64]) {
+    let slab = Arc::new(Mutex::new(LearnerSlab::new(cfg.num_actions())));
+    let _neighbor = SlabLearner::new(Arc::clone(&slab), cfg.clone());
+    let mut slabbed = SlabLearner::new(Arc::clone(&slab), cfg.clone());
+    let mut wrapped = RthsLearner::new(cfg);
+    let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
+    for (s, &u) in utilities.iter().enumerate() {
+        let a = wrapped.select_action(&mut rng_a);
+        let b = slabbed.select_action(&mut rng_b);
+        prop_assert_eq!(a, b, "action diverged at stage {}", s);
+        wrapped.observe(u);
+        slabbed.observe(u);
+        for (x, y) in wrapped.probabilities().iter().zip(slabbed.probabilities()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "probs diverged at stage {}", s);
+        }
+        prop_assert_eq!(
+            wrapped.max_regret().to_bits(),
+            slabbed.max_regret().to_bits(),
+            "max_regret diverged at stage {}",
+            s
+        );
     }
 }

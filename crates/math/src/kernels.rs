@@ -64,6 +64,25 @@ pub fn shifted_regret_max(col: &[f64], diag: &[f64], factor: f64) -> f64 {
     max
 }
 
+/// [`shifted_regret_max`] of an all-zero column: the largest
+/// `(factor * (0.0 - diag[i])).max(0.0)` over the slice.
+///
+/// A never-played T column is exactly `+0.0` everywhere, so every such
+/// column contributes this same value; one call stands in for all of
+/// them. The difference is `0.0 - d`, never `-d`: for `d = +0.0` the
+/// former is `+0.0` and the latter `-0.0`, and the sign of a zero must
+/// match what the column scan would have produced, bit for bit.
+///
+/// Returns `f64::NEG_INFINITY` on an empty slice.
+#[inline]
+pub fn zero_column_regret_max(diag: &[f64], factor: f64) -> f64 {
+    let mut max = f64::NEG_INFINITY;
+    for &d in diag {
+        max = max.max((factor * (0.0 - d)).max(0.0));
+    }
+    max
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,5 +132,37 @@ mod tests {
         assert!(shifted_regret_max(&[], &[], 1.0).is_infinite());
         // All-clamped column folds to exactly +0.0.
         assert_eq!(shifted_regret_max(&[1.0], &[9.0], 1.0).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The zero-column kernel must equal the column kernel fed a literal
+    /// zero column, bit for bit — including the sign of a zero result
+    /// (`+0.0` diagonals, where a `-d` rewrite would yield `-0.0`
+    /// terms), negative and `NaN` diagonals, and a difference that
+    /// overflows to infinity.
+    #[test]
+    fn zero_column_regret_max_matches_a_zero_column_bitwise() {
+        let cases: [&[f64]; 8] = [
+            &[0.0],
+            &[0.0, 0.0, 0.0, 0.0, 0.0],
+            &[-0.0, 0.0],
+            &[0.0, 2.5, 7.0],
+            &[0.0, -2.5, 3.0, -1e-300],
+            &[-1.0e308, 0.0],
+            &[f64::NAN, 0.0, -4.0],
+            &[f64::MIN, f64::MAX, -5e-324],
+        ];
+        for diag in cases {
+            for factor in [0.05, 1.0, 4.0, 1.0 / 3.0] {
+                let zeros = vec![0.0; diag.len()];
+                let want = shifted_regret_max(&zeros, diag, factor);
+                let got = zero_column_regret_max(diag, factor);
+                assert_eq!(got.to_bits(), want.to_bits(), "diag {diag:?} factor {factor}");
+            }
+        }
+        // All-+0.0 diagonal: the result is +0.0, not -0.0.
+        assert_eq!(zero_column_regret_max(&[0.0; 4], 0.05).to_bits(), 0.0f64.to_bits());
+        // factor · (0.0 − d) overflows to +∞ and the max keeps it.
+        assert_eq!(zero_column_regret_max(&[0.0, -1.0e308], 4.0), f64::INFINITY);
+        assert!(zero_column_regret_max(&[], 1.0).is_infinite());
     }
 }

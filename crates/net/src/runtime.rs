@@ -45,9 +45,11 @@ pub struct NetConfig {
     pub backend: Backend,
     /// Whether peers attach their learner's internal regret estimate to
     /// every observation (the `worst_regret_estimate` series). Deriving
-    /// it is an `O(m²)` scan of the proxy matrix per peer per epoch —
-    /// the same cost trade the simulator's `track_estimate` flag
-    /// controls — so throughput benches disable it. **Default: on.**
+    /// it scans the proxy matrix's played columns per peer per epoch
+    /// (`O(played · m + m)`, approaching `O(m²)` once a peer has tried
+    /// most of its `m` helpers) — the same cost trade the simulator's
+    /// `track_estimate` flag controls — so throughput benches disable
+    /// it. **Default: on.**
     pub track_estimate: bool,
     /// Enables `rths_obs` tracing for the duration of the run (epoch
     /// spans, coordinator phase spans, message-volume counters). Tracing

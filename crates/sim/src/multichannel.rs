@@ -660,7 +660,7 @@ impl MultiChannelSystem {
                 join_rates,
                 shards,
                 // This engine never recorded the learners' internal
-                // regret estimates — skip the O(m²) per-peer scan.
+                // regret estimates — skip the per-peer proxy scan.
                 false,
                 move |i, _, c| {
                     let c = c as usize;

@@ -474,9 +474,11 @@ impl PeerStore {
     /// values — order-insensitive, so bit-identical at any shard count).
     ///
     /// `track_estimate` controls the first element: deriving a learner's
-    /// internal regret estimate is an `O(m²)` scan of its proxy matrix
-    /// per peer per epoch, so callers that do not record the series (the
-    /// multi-channel engine) pass `false` and receive `0.0`.
+    /// internal regret estimate scans the played columns of its proxy
+    /// matrix per peer per epoch (`O(played · m + m)`, approaching
+    /// `O(m²)` once a peer has tried most of its `m` actions), so callers
+    /// that do not record the series (the multi-channel engine) pass
+    /// `false` and receive `0.0`.
     #[allow(clippy::too_many_arguments)]
     pub fn observe_phase(
         &mut self,
